@@ -7,10 +7,13 @@ of the simulated record.  In-process workloads go through
 ``CampaignExecutor(jobs=1)``; ``wire-players`` goes through ``serve_cell``
 with one client subprocess running ``run_clients``.
 
-The only instrument an untraced rep installs is :class:`TickTimer`, a pair
-of ``perf_counter`` reads around ``MLGServer.tick`` (plus, on the wire, a
-bus subscription that copies each tick's ``wire_flush_us``/``wire_bytes_out``
-value).  Per-layer spans live in ``layers.py`` and are installed only for
+The only instrument an untraced rep installs in the server's process is
+:class:`TickTimer`, a pair of ``perf_counter`` and ``thread_time`` reads
+around ``MLGServer.tick`` (plus, on the wire, a bus subscription that
+copies each tick's ``wire_flush_us``/``wire_bytes_out`` value).  The wire
+client process always keeps its own per-tick spans
+(``run_clients(trace_out=)``): they are how each connection's ticks are
+counted.  Per-layer spans live in ``layers.py`` and are installed only for
 traced reps.
 """
 
@@ -60,6 +63,7 @@ class Rep:
     """Everything one repetition measured."""
 
     setup_s: float
+    #: Per-tick CPU time of the server thread, and per-tick wall start.
     tick_host_s: list[float]
     tick_start_s: list[float]
     sim_s: float
@@ -84,6 +88,14 @@ class Rep:
 class TickTimer:
     """Times every ``MLGServer.tick`` call while the context is open.
 
+    Each tick's host cost is the CPU time the server thread spent in it.
+    Its wall time also counts the time the thread was descheduled (by the
+    hypervisor or another process): on a shared 2-vCPU VM that made the
+    tail of the paced wire run a measure of the neighbours (wall p95
+    6.4-10 ms against CPU p95 3.8-5.2 ms over eight ``wire-players``
+    reps, with no voluntary context switch in any tick).  Wall-clock tick
+    starts and ends are kept for the tick period and the ticked phase.
+
     ``on_first(server)`` runs once, before the first tick, for
     instruments that need the server object (the wire bus subscription).
     """
@@ -92,6 +104,7 @@ class TickTimer:
         self.on_first = on_first
         self.server = None
         self.starts: list[float] = []
+        self.ends: list[float] = []
         self.hosts: list[float] = []
         self.records: list = []
         #: Connected clients at each tick's start.
@@ -102,6 +115,7 @@ class TickTimer:
         original = self._original = MLGServer.tick
         timer = self
         clock = time.perf_counter
+        cpu_clock = time.thread_time
 
         def tick(server):
             if timer.server is None:
@@ -110,8 +124,10 @@ class TickTimer:
                     timer.on_first(server)
             timer.clients.append(server.net.connected_count)
             start = clock()
+            cpu_start = cpu_clock()
             record = original(server)
-            timer.hosts.append(clock() - start)
+            timer.hosts.append(cpu_clock() - cpu_start)
+            timer.ends.append(clock())
             timer.starts.append(start)
             timer.records.append(record)
             return record
@@ -176,7 +192,7 @@ def _ticked(
     if len(timer.starts) <= first_tick:
         raise RuntimeError("the server never reached its ticked phase")
     setup_s = timer.starts[first_tick] - rep_start
-    wall_s = timer.starts[-1] + timer.hosts[-1] - timer.starts[first_tick]
+    wall_s = timer.ends[-1] - timer.starts[first_tick]
     # From the tick records, not the clock: the chain advances the clock
     # by the inter-iteration gap after the last tick.
     first, last = timer.records[first_tick], timer.records[-1]

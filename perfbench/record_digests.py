@@ -1,12 +1,11 @@
 """Record the simulated-record digests that ``run.py`` checks against.
 
-    python3 perfbench/record_digests.py 0-9 1009
+    python3 perfbench/record_digests.py
 
-For each ``--seed`` value given, runs one rep of every in-process workload
-per seed that value's runs simulate (``run.sub_seeds``) and writes the
-digests to ``perfbench/digests.json``.  Record again only for a change
-that is meant to alter simulated output, and say so where the change is
-described.
+Runs one rep of every in-process workload per pool seed (``run.POOL``)
+and writes the digests to ``perfbench/digests.json``.  Record again only
+for a change that is meant to alter simulated output, and say so where
+the change is described.
 """
 
 from __future__ import annotations
@@ -19,29 +18,18 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from harness import REP_SIM_S, run_rep  # noqa: E402
-from run import sub_seeds  # noqa: E402
+from run import POOL  # noqa: E402
 
 OUT = HERE.parent / ".perfbench_out" / "record"
 
 
-def _seeds(args: list[str]) -> list[int]:
-    seeds = []
-    for arg in args:
-        lo, _, hi = arg.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
-
-
 def main() -> int:
-    seeds = [
-        s for seed in _seeds(sys.argv[1:] or ["0"]) for s in sub_seeds(seed)
-    ]
     path = HERE / "digests.json"
-    table = json.loads(path.read_text())
+    table: dict = {}
     for workload in REP_SIM_S:
         if workload == "wire-players":
             continue  # paced in real time: its record is not deterministic
-        for seed in seeds:
+        for seed in range(POOL):
             rep = run_rep(workload, seed, OUT)
             table.setdefault(workload, {})[str(seed)] = rep.digest
             print(workload, seed, rep.digest, flush=True)
