@@ -9,8 +9,10 @@ with one client subprocess running ``run_clients``.
 
 The only instrument an untraced rep installs in the server's process is
 :class:`TickTimer`, a pair of ``perf_counter`` and ``thread_time`` reads
-around ``MLGServer.tick`` (plus, on the wire, a bus subscription that
-copies each tick's ``wire_flush_us``/``wire_bytes_out`` value).  The wire
+around ``MLGServer.tick`` and a calibration slice between ticks (plus, on
+the wire, the same CPU-time pair around ``WireServer._flush`` and a bus
+subscription that copies each tick's ``wire_flush_us``/``wire_bytes_out``
+value).  The wire
 client process always keeps its own per-tick spans
 (``run_clients(trace_out=)``): they are how each connection's ticks are
 counted.  Per-layer spans live in ``layers.py`` and are installed only for
@@ -19,7 +21,9 @@ traced reps.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import heapq
 import json
 import shutil
 import subprocess
@@ -33,6 +37,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import JobStore
 from repro.mlg.server import MLGServer
 from repro.net.serve import serve_cell
+from repro.net.server import WireServer
 
 HERE = Path(__file__).resolve().parent
 
@@ -57,24 +62,79 @@ WIRE_CLIENTS = 2
 #: Seconds a client subprocess may take to start or to finish.
 CLIENT_TIMEOUT_S = 60.0
 
+#: Wall seconds of ticking between two calibration slices.
+SLICE_EVERY_S = 0.02
+
+#: CPU seconds one :func:`calibration_slice` takes at the reference host
+#: speed (its typical time on the 2-vCPU Xeon guest the bounds were set
+#: on).  Host-time metrics are scaled to this speed.
+REFERENCE_SLICE_S = 0.6e-3
+
+#: Side of the grid the calibration slice searches.
+_SLICE_GRID = 15
+
+
+def calibration_slice() -> None:
+    """A fixed piece of interpreter work: A* across a walled grid.
+
+    Dict, set, tuple and heap operations, like the simulation's own hot
+    loops.  It lives here, not in the program, so no change to the
+    program changes it: its CPU time measures the host's speed at the
+    moment it runs.
+    """
+    side = _SLICE_GRID - 1
+    goal = (side, side)
+    frontier = [(0, (0, 0))]
+    cost = {(0, 0): 0}
+    done = set()
+    while frontier:
+        _, cell = heapq.heappop(frontier)
+        if cell == goal:
+            return
+        if cell in done:
+            continue
+        done.add(cell)
+        x, y = cell
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if 0 <= nx <= side and 0 <= ny <= side and (nx * 7 + ny * 13) % 11:
+                step = cost[cell] + 1
+                if step < cost.get((nx, ny), step + 1):
+                    cost[(nx, ny)] = step
+                    heuristic = 2 * side - nx - ny
+                    heapq.heappush(frontier, (step + heuristic, (nx, ny)))
+    raise AssertionError("the calibration grid has no path")
+
 
 @dataclass
 class Rep:
     """Everything one repetition measured."""
 
+    #: Wall seconds from the rep's start to its first measured tick; on the
+    #: paced wire, the server thread's CPU seconds.
     setup_s: float
-    #: Per-tick CPU time of the server thread, and per-tick wall start.
+    #: Per-tick CPU time of the server thread, and the time from each
+    #: tick's start to the next one's, calibration excluded (wall time
+    #: when paced, the thread's CPU time otherwise).
     tick_host_s: list[float]
-    tick_start_s: list[float]
+    tick_period_s: list[float]
     sim_s: float
     ticked_wall_s: float
     response_ms: list[float]
     digest: str | None
+    #: Mean calibration-slice CPU time over the reference: how much slower
+    #: than the reference speed the host ran during this rep.
+    slowdown: float = 1.0
+    #: Ticks paced in real time (the wire): wall times are set by the
+    #: pacing, so only CPU times (set-up included) are scaled by
+    #: ``slowdown``.
+    paced: bool = False
     seed: int = 0
     attempted: int = 1
     failed: int = 0
-    #: Per-tick wire flush wall time (µs) and bytes out; empty in-process.
+    #: Per-tick wire flush wall time (µs, the server's own figure), CPU
+    #: time (s) and bytes out; empty in-process.
     flush_us: list[float] = field(default_factory=list)
+    flush_cpu_s: list[float] = field(default_factory=list)
     bytes_out: list[float] = field(default_factory=list)
     #: Lifecycle counters of the iteration (empty without persistence).
     world: dict = field(default_factory=dict)
@@ -94,7 +154,25 @@ class TickTimer:
     tail of the paced wire run a measure of the neighbours (wall p95
     6.4-10 ms against CPU p95 3.8-5.2 ms over eight ``wire-players``
     reps, with no voluntary context switch in any tick).  Wall-clock tick
-    starts and ends are kept for the tick period and the ticked phase.
+    starts and ends are kept for the ticked phase and the paced tick
+    period; the thread's CPU clock at each tick start gives the unpaced
+    one, whose p99 the neighbours moved too (farm 7.9-9.3 ms in eight
+    runs, 13.9-14.4 ms in the two before them, with every other metric
+    steady).
+
+    The host's speed itself drifts on such a VM (the same rep of
+    ``exploration-persist`` ran 11.6 to 17.3 simulated seconds per wall
+    second, minutes apart, with CPU time tracking wall time).  So after a
+    tick, once every ``SLICE_EVERY_S`` of wall time, the timer runs a
+    :func:`calibration_slice` twice, with the garbage collector paused:
+    once to warm the caches the tick left cold, once timed.  The slices'
+    mean CPU time over ``REFERENCE_SLICE_S`` is the rep's ``slowdown``.
+    Over sixteen ``exploration-persist`` reps of one seed it ranged 0.78
+    to 1.06 and tracked the ticks' summed CPU time with r = 0.97;
+    dividing by it cut the spread (standard deviation over mean) of that
+    sum from 10.7% to 2.7%, of the tick p50 from 12.7% to 3.8% and of
+    the p95 from 9.4% to 5.8%.  Each calibration's wall and CPU time are
+    kept per tick, so the ticked phase and the tick periods leave it out.
 
     ``on_first(server)`` runs once, before the first tick, for
     instruments that need the server object (the wire bus subscription).
@@ -109,6 +187,14 @@ class TickTimer:
         self.records: list = []
         #: Connected clients at each tick's start.
         self.clients: list[int] = []
+        #: Thread CPU clock at each tick's start.
+        self.cpu_starts: list[float] = []
+        #: Per tick, wall and CPU seconds of calibration run after it.
+        self.pauses: list[float] = []
+        self.pause_cpu: list[float] = []
+        #: CPU seconds of each timed calibration slice.
+        self.slices: list[float] = []
+        self.last_slice = float("-inf")
         self._original = None
 
     def __enter__(self) -> "TickTimer":
@@ -129,7 +215,13 @@ class TickTimer:
             timer.hosts.append(cpu_clock() - cpu_start)
             timer.ends.append(clock())
             timer.starts.append(start)
+            timer.cpu_starts.append(cpu_start)
             timer.records.append(record)
+            pause = pause_cpu = 0.0
+            if timer.ends[-1] - timer.last_slice >= SLICE_EVERY_S:
+                pause, pause_cpu = timer.calibrate()
+            timer.pauses.append(pause)
+            timer.pause_cpu.append(pause_cpu)
             return record
 
         MLGServer.tick = tick
@@ -137,6 +229,56 @@ class TickTimer:
 
     def __exit__(self, *exc) -> None:
         MLGServer.tick = self._original
+
+    def calibrate(self) -> tuple[float, float]:
+        """Run one warm-up and one timed slice; (wall s, CPU s) of both."""
+        collecting = gc.isenabled()
+        gc.disable()
+        start = time.perf_counter()
+        cpu_start = time.thread_time()
+        calibration_slice()
+        timed_start = time.thread_time()
+        calibration_slice()
+        cpu_end = time.thread_time()
+        self.slices.append(cpu_end - timed_start)
+        self.last_slice = time.perf_counter()
+        if collecting:
+            gc.enable()
+        return self.last_slice - start, cpu_end - cpu_start
+
+    def slowdown(self) -> float:
+        if not self.slices:
+            raise RuntimeError("no calibration slice ran")
+        mean = sum(self.slices) / len(self.slices)
+        return mean / REFERENCE_SLICE_S
+
+
+class FlushTimer:
+    """Times every ``WireServer._flush`` in CPU time of the server thread.
+
+    The server's own ``wire_flush_us`` is wall time; like a tick's, its
+    tail on a shared VM follows the neighbours (flush p99 1.6-4.2 ms wall
+    against 0.9-1.7 ms CPU over eight reps).
+    """
+
+    def __init__(self) -> None:
+        self.cpu: list[float] = []
+        self._original = None
+
+    def __enter__(self) -> "FlushTimer":
+        original = self._original = WireServer._flush
+        cpu = self.cpu
+
+        async def flush(wire):
+            start = time.thread_time()
+            await original(wire)
+            cpu.append(time.thread_time() - start)
+
+        WireServer._flush = flush
+        return self
+
+    def __exit__(self, *exc) -> None:
+        WireServer._flush = self._original
 
 
 def simulated_digest(records, iteration, world: dict) -> str:
@@ -185,20 +327,41 @@ def _spec(
 
 
 def _ticked(
-    timer: TickTimer, rep_start: float, first_tick: int = 0
+    timer: TickTimer, rep_start: float, first_tick: int = 0, paced=False
 ) -> tuple[float, float, float]:
     """(set-up s, ticked-phase wall s, simulated s) from a timer, with the
-    ticked phase starting at tick ``first_tick``."""
+    ticked phase starting at tick ``first_tick``.  Unpaced, the ticked
+    phase leaves out the calibration; paced, the loop's sleeps absorb it.
+    """
     if len(timer.starts) <= first_tick:
         raise RuntimeError("the server never reached its ticked phase")
     setup_s = timer.starts[first_tick] - rep_start
     wall_s = timer.ends[-1] - timer.starts[first_tick]
+    if not paced:
+        wall_s -= sum(timer.pauses[first_tick:-1])
     # From the tick records, not the clock: the chain advances the clock
     # by the inter-iteration gap after the last tick.
     first, last = timer.records[first_tick], timer.records[-1]
     end_us = last.start_us + last.duration_us + last.wait_us
     sim_s = (end_us - first.start_us) / 1e6
     return setup_s, wall_s, sim_s
+
+
+def _periods(timer: TickTimer, first_tick: int, paced: bool) -> list[float]:
+    """Seconds between consecutive tick starts from ``first_tick``.
+
+    Paced, wall seconds: the pacing sets them, and the loop's sleep
+    absorbs the calibration.  Unpaced, the server thread's CPU seconds,
+    with the calibration after each tick taken out.
+    """
+    if paced:
+        starts = timer.starts[first_tick:]
+        return [b - a for a, b in zip(starts, starts[1:])]
+    starts = timer.cpu_starts[first_tick:]
+    pauses = timer.pause_cpu[first_tick:]
+    return [
+        b - a - pause for a, b, pause in zip(starts, starts[1:], pauses)
+    ]
 
 
 def inproc_rep(workload: str, seed: int, out_dir: Path) -> Rep:
@@ -224,11 +387,12 @@ def inproc_rep(workload: str, seed: int, out_dir: Path) -> Rep:
     return Rep(
         setup_s=setup_s,
         tick_host_s=timer.hosts,
-        tick_start_s=timer.starts,
+        tick_period_s=_periods(timer, 0, paced=False),
         sim_s=sim_s,
         ticked_wall_s=wall_s,
         response_ms=list(iteration.response_times_ms),
         digest=simulated_digest(timer.records, iteration, world),
+        slowdown=timer.slowdown(),
         world=world,
         externalize_s=trace.get("phases", {}).get("externalize_s", 0.0),
     )
@@ -300,8 +464,9 @@ def wire_rep(seed: int, out_dir: Path) -> Rep:
     try:
         if client.stdout.readline().strip() != "ready":
             raise RuntimeError("client subprocess failed to start")
-        with TickTimer(on_first=subscribe) as timer:
+        with TickTimer(on_first=subscribe) as timer, FlushTimer() as flushes:
             rep_start = time.perf_counter()
+            rep_cpu_start = time.thread_time()
             summary = serve_cell(spec_path, on_listen=on_listen)
         out, _ = client.communicate(timeout=CLIENT_TIMEOUT_S)
     finally:
@@ -313,11 +478,22 @@ def wire_rep(seed: int, out_dir: Path) -> Rep:
     clients = json.loads(out.strip().splitlines()[-1])
     # Players join over TCP after the server starts ticking; set-up runs
     # until the first tick with every client joined, as it does in-process
-    # (where install connects the players before the first tick).
+    # (where install connects the players before the first tick).  It is
+    # the server thread's CPU time, calibration excluded, as the ticks'
+    # cost is: the joins are handled between paced ticks, and the wall
+    # time around them also counts the pacing sleeps and the time the
+    # thread was descheduled (wire-players set-up medians of 0.61 to
+    # 0.81 s wall across five sets of runs, while each in-process
+    # workload's stayed within 11% of each other).
     steady = next(
         (i for i, n in enumerate(timer.clients) if n >= WIRE_CLIENTS), 0
     )
-    setup_s, wall_s, sim_s = _ticked(timer, rep_start, steady)
+    _, wall_s, sim_s = _ticked(timer, rep_start, steady, paced=True)
+    setup_s = (
+        timer.cpu_starts[steady]
+        - rep_cpu_start
+        - sum(timer.pause_cpu[:steady])
+    )
     (iteration,) = JobStore(out_dir / "campaign").load_job(summary["job_id"])
     spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
     served = len(timer.hosts)
@@ -335,14 +511,17 @@ def wire_rep(seed: int, out_dir: Path) -> Rep:
     return Rep(
         setup_s=setup_s,
         tick_host_s=timer.hosts[steady:],
-        tick_start_s=timer.starts[steady:],
+        tick_period_s=_periods(timer, steady, paced=True),
         sim_s=sim_s,
         ticked_wall_s=wall_s,
         response_ms=list(iteration.response_times_ms),
         digest=None,
+        slowdown=timer.slowdown(),
+        paced=True,
         attempted=WIRE_CLIENTS + ticks_expected + probes_sent,
         failed=failed,
         flush_us=flush_us[steady:],
+        flush_cpu_s=flushes.cpu[steady:],
         bytes_out=bytes_out[steady:],
         client_spans=spans,
         notes=[

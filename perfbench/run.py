@@ -7,8 +7,12 @@ Runs one workload for ``--seconds`` of wall time as a series of reps; each
 rep is a fresh campaign (world build, install, joins, then a fixed number
 of simulated seconds).  Metrics are host wall time, except
 ``response_ms_p50``, the simulated client-measured response time, and the
-per-tick host cost in ``tick_host_ms_*`` and ``harness_share_*``, which is
-the server thread's CPU time (see ``harness.TickTimer``).  Tail metrics
+per-tick host cost in ``tick_host_ms_*`` and ``harness_share_*`` (tick
+plus wire flush), the unpaced tick period and the wire's set-up, which
+are the server thread's CPU time (see ``harness.TickTimer``,
+``harness.FlushTimer`` and ``harness.wire_rep``).  Host times are scaled
+to a reference host speed, measured by calibration slices between ticks;
+the unscaled values are printed beside them.  Tail metrics
 are p95 where at least ten samples lie beyond it on every workload
 (the paced wire run has about 460 ticks).  The last line of stdout is one
 JSON object::
@@ -103,31 +107,44 @@ def conditions() -> dict:
     }
 
 
-def end_to_end_metrics(reps) -> dict:
-    """Every end-to-end metric: (value, unit, sample count)."""
-    host_ms = [s * 1e3 for rep in reps for s in rep.tick_host_s]
+def end_to_end_metrics(reps, rss_mb: float, scaled: bool = True) -> dict:
+    """Every end-to-end metric: (value, unit, sample count).
+
+    ``scaled`` divides each rep's host times by its ``slowdown``, which
+    puts them at the reference host speed (``harness.TickTimer``): CPU
+    times always, wall times only where real-time pacing does not set
+    them.
+    """
+
+    def cpu(rep) -> float:
+        return rep.slowdown if scaled else 1.0
+
+    def wall(rep) -> float:
+        return 1.0 if rep.paced else cpu(rep)
+
+    host_ms = [s * 1e3 / cpu(rep) for rep in reps for s in rep.tick_host_s]
     share = []
     periods = []
     for rep in reps:
         # In-process there is no wire flush: the share is the tick alone.
-        flush_ms = [us / 1e3 for us in rep.flush_us] or [0.0] * len(
-            rep.tick_host_s
-        )
+        flush_s = rep.flush_cpu_s or [0.0] * len(rep.tick_host_s)
         share.extend(
-            (s * 1e3 + f) / TICK_BUDGET_MS
-            for s, f in zip(rep.tick_host_s, flush_ms)
+            (s + f) * 1e3 / cpu(rep) / TICK_BUDGET_MS
+            for s, f in zip(rep.tick_host_s, flush_s)
         )
-        starts = rep.tick_start_s
-        periods.extend(
-            (b - a) * 1e3 for a, b in zip(starts, starts[1:])
-        )
+        periods.extend(p * 1e3 / wall(rep) for p in rep.tick_period_s)
     response = [ms for rep in reps for ms in rep.response_ms]
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     n = len(reps)
     return {
-        "setup_s": (statistics.median(r.setup_s for r in reps), "s", n),
+        # Unpaced set-up is wall time and paced set-up CPU time (see
+        # ``harness.wire_rep``): both are the program computing.
+        "setup_s": (
+            statistics.median(r.setup_s / cpu(r) for r in reps), "s", n
+        ),
         "sim_s_per_wall_s": (
-            statistics.median(r.sim_s / r.ticked_wall_s for r in reps),
+            statistics.median(
+                r.sim_s / r.ticked_wall_s * wall(r) for r in reps
+            ),
             "s/s",
             n,
         ),
@@ -240,13 +257,19 @@ def main(argv=None) -> int:
     for rep in reps + traced_reps:
         notes.extend(rep.notes)
     if trace is None:
-        table = end_to_end_metrics(reps)
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        table = end_to_end_metrics(reps, rss_mb)
         metrics = {
             name: {"value": value, "unit": unit}
             for name, (value, unit, _n) in table.items()
         }
         for name, (value, unit, n) in table.items():
             print(f"{name:24s} {value:14.6f} {unit:6s} n={n}")
+        # The same metrics unscaled, at the speed the host ran.
+        for name, (value, unit, _n) in end_to_end_metrics(
+            reps, rss_mb, scaled=False
+        ).items():
+            print(f"unscaled {name:24s} {value:14.6f} {unit}")
     else:
         from layers import per_layer_metrics
 
@@ -261,7 +284,12 @@ def main(argv=None) -> int:
         trace.write(OUT / f"spans-{args.workload}-seed{args.seed}.jsonl")
     for note in dict.fromkeys(notes):
         print("note " + note)
-    print(f"reps {len(reps)} traced {len(traced_reps)}")
+    slowdowns = [rep.slowdown for rep in reps + traced_reps]
+    print(
+        f"reps {len(reps)} traced {len(traced_reps)} host slowdown "
+        f"median {statistics.median(slowdowns):.4f} "
+        f"range {min(slowdowns):.4f}-{max(slowdowns):.4f}"
+    )
     print(
         json.dumps(
             {
