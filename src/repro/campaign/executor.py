@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.core.experiment import run_server_chain
+from repro.core.experiment import require_drive, run_server_chain
 from repro.core.results import ExperimentResult, IterationResult
 from repro.campaign.planner import Job, JobPlanner
 from repro.campaign.spec import CampaignSpec
@@ -33,6 +33,7 @@ __all__ = [
     "CampaignExecutor",
     "anomaly_lines",
     "execute_job",
+    "prepare_campaign",
     "telemetry_line",
 ]
 
@@ -138,7 +139,45 @@ def anomaly_lines(job: Job, it: IterationResult) -> list[str]:
     ]
 
 
-def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
+def prepare_campaign(
+    spec: CampaignSpec, store: JobStore, plan: list[Job]
+) -> tuple[dict, float]:
+    """The prelude shared by every way of running planned jobs.
+
+    Writes the manifest with the campaign's provenance fingerprint — the
+    only timestamped one: shards and sidecars must stay byte-identical
+    across re-runs, the manifest need not.  The measurement-hygiene
+    snapshot (host conditions vs the spec's ``system:`` requests) rides
+    along *outside* the digest: probes read live host state (load
+    average, affinity), which must not perturb the measurement
+    fingerprint.  Then, with ``warm_world_cache``, pre-generates each
+    (workload, scale) world once, before any job starts: every iteration
+    of every server warm-boots from the same on-disk snapshot
+    (``cell_config`` points its ``world_cache_dir`` there).  Idempotent —
+    an existing snapshot with a matching manifest is kept, so resumes and
+    restored CI caches skip the generation cost.
+
+    Returns the manifest's provenance and the wall seconds spent warming.
+    """
+    from repro.persistence.warmup import ensure_world_cache
+    from repro.reporting.hygiene import hygiene_snapshot
+
+    provenance = provenance_fingerprint(
+        measurement_config(spec.to_dict()), include_timestamp=True
+    )
+    provenance["hygiene"] = hygiene_snapshot(spec.system)
+    store.write_manifest(spec, plan, provenance=provenance)
+    warm_start = time.perf_counter()
+    if spec.warm_world_cache:
+        cache_root = Path(spec.output_dir) / "world-cache"
+        for workload, scale in sorted(
+            {(job.workload, job.scale) for job in plan}
+        ):
+            ensure_world_cache(cache_root, workload, scale, spec.seed)
+    return provenance, time.perf_counter() - warm_start
+
+
+def execute_job(payload: dict, drive=None) -> tuple[dict, list[dict], dict]:
     """Run one job's server chain; the unit shipped to worker processes.
 
     Takes and returns plain JSON-able dicts so the same function serves
@@ -154,16 +193,21 @@ def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
     ``python -m repro status``.  Traced iterations additionally stream
     their slow-tick flight-recorder dumps into
     ``<telemetry_dir>/<job_id>.anomalies.jsonl``.
+
+    ``drive`` is passed through to :func:`run_server_chain` (``repro
+    serve`` passes the wire drive); a ``tcp`` job without one is refused
+    before any sidecar is touched.
     """
     plan_start = time.perf_counter()
     spec = CampaignSpec.from_dict(payload["spec"])
     job = Job.from_dict(payload["job"])
     config = JobPlanner(spec).job_config(job)
+    require_drive(config, drive)
     phases = {"plan_s": time.perf_counter() - plan_start}
     telemetry_dir = payload.get("telemetry_dir")
     iterate_start = time.perf_counter()
     if telemetry_dir is None:
-        iterations = run_server_chain(config, job.server)
+        iterations = run_server_chain(config, job.server, drive=drive)
     else:
         path = Path(telemetry_dir) / f"{job.job_id}.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -180,7 +224,7 @@ def execute_job(payload: dict) -> tuple[dict, list[dict], dict]:
                         recorder.write("\n".join(lines) + "\n")
 
             iterations = run_server_chain(
-                config, job.server, on_iteration=stream
+                config, job.server, on_iteration=stream, drive=drive
             )
     phases["iterate_s"] = time.perf_counter() - iterate_start
     externalize_start = time.perf_counter()
@@ -311,20 +355,9 @@ class CampaignExecutor:
                 f"{self.store.root} holds {len(stale)} shard(s) from a "
                 "different campaign spec; choose a fresh output_dir"
             )
-        # The manifest carries the campaign's provenance fingerprint —
-        # the only timestamped one: shards and sidecars must stay
-        # byte-identical across re-runs, the manifest need not.  The
-        # measurement-hygiene snapshot (host conditions vs the spec's
-        # ``system:`` requests) rides along *outside* the digest: probes
-        # read live host state (load average, affinity), which must not
-        # perturb the measurement fingerprint.
-        from repro.reporting.hygiene import hygiene_snapshot
-
-        provenance = provenance_fingerprint(
-            measurement_config(self.spec.to_dict()), include_timestamp=True
+        provenance, warm_boot_s = prepare_campaign(
+            self.spec, self.store, plan
         )
-        provenance["hygiene"] = hygiene_snapshot(self.spec.system)
-        self.store.write_manifest(self.spec, plan, provenance=provenance)
         obs = None
         if self.spec.obs:
             obs = _ObsPlane(
@@ -333,10 +366,6 @@ class CampaignExecutor:
             self.obs_url = obs.url
             print(f"obs endpoint {obs.url}", flush=True)
         try:
-            warm_start = time.perf_counter()
-            if self.spec.warm_world_cache:
-                self._ensure_world_caches(plan)
-            warm_boot_s = time.perf_counter() - warm_start
             pending = [job for job in plan if job.job_id not in completed]
             n_total = len(plan)
             n_done = n_total - len(pending)
@@ -384,21 +413,6 @@ class CampaignExecutor:
         finally:
             if obs is not None:
                 obs.stop()
-
-    def _ensure_world_caches(self, plan: list[Job]) -> None:
-        """Pre-generate each (workload, scale) world once, before any
-        worker starts: all iterations of all servers then warm-boot from
-        the same on-disk snapshot (``cell_config`` points their
-        ``world_cache_dir`` at these directories).  Idempotent — an
-        existing snapshot with a matching manifest is kept, so resumes
-        and restored CI caches skip the generation cost."""
-        from repro.persistence.warmup import ensure_world_cache
-
-        cache_root = Path(self.spec.output_dir) / "world-cache"
-        for workload, scale in sorted(
-            {(job.workload, job.scale) for job in plan}
-        ):
-            ensure_world_cache(cache_root, workload, scale, self.spec.seed)
 
     def _run_parallel(self, payloads: list[dict]):
         """Fan pending jobs out over a process pool, yielding completions.

@@ -27,7 +27,12 @@ from repro.simtime import SimClock, s_to_us
 from repro.tracing.provenance import measurement_config, provenance_fingerprint
 from repro.workloads import get_workload
 
-__all__ = ["ExperimentRunner", "run_iteration", "run_server_chain"]
+__all__ = [
+    "ExperimentRunner",
+    "require_drive",
+    "run_iteration",
+    "run_server_chain",
+]
 
 #: Per-iteration streaming callback for live campaign observability.
 IterationFn = Callable[[IterationResult], None]
@@ -55,12 +60,7 @@ def run_iteration(
     trace: bool = False,
     trace_sample_every: int = 1,
     slow_tick_factor: float = 3.0,
-    transport: str = "inproc",
-    wire_port: int = 0,
-    wire_batch_flush: bool = True,
-    obs: bool = False,
-    obs_port: int = 0,
-    obs_scrape_grace: float = 0.0,
+    drive=None,
 ) -> IterationResult:
     """Run one iteration and return its measurements.
 
@@ -77,6 +77,14 @@ def run_iteration(
     bounds residency via eviction.  ``world_seed`` decouples the world's
     terrain seed from the iteration seed — a warm-cached campaign pins it
     to the campaign seed so every iteration boots the same world.
+
+    ``drive`` replaces the in-process player swarm and its tick loop —
+    the wire path passes :class:`repro.net.serve.WireDrive`.  A drive
+    offers ``fleet`` (the install target for the workload's player
+    requests) and ``run(server, server_name, iteration, duration_s,
+    on_tick)``, which ticks the started server for ``duration_s``
+    simulated seconds, calls ``on_tick`` after every tick, and returns
+    the response samples plus the ``wire`` telemetry section.
     """
     env = get_environment(environment_name)
     if machine is None:
@@ -107,16 +115,13 @@ def run_iteration(
         trace=trace,
         trace_sample_every=trace_sample_every,
         slow_tick_factor=slow_tick_factor,
-        transport=transport,
-        wire_port=wire_port,
-        wire_batch_flush=wire_batch_flush,
-        obs=obs,
-        obs_port=obs_port,
-        obs_scrape_grace=obs_scrape_grace,
     )
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    swarm = BotSwarm(server, env.network, rng)
-    workload.install(server, swarm)
+    if drive is None:
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        fleet = BotSwarm(server, env.network, rng)
+    else:
+        fleet = drive.fleet
+    workload.install(server, fleet)
     # With persistence in play, fingerprint the post-install world: warm
     # and cold boots of the same world seed must agree bit-for-bit.  The
     # hash covers the connect-time view: every workload connects at
@@ -132,20 +137,30 @@ def run_iteration(
     system = SystemMetricsCollector(server)
 
     server.start()
-    deadline = clock.now_us + s_to_us(duration_s)
-    while clock.now_us < deadline and server.running:
-        server.tick()
-        swarm.step()
-        system.maybe_sample()
-        if server.crashed:
-            break
-    server.running = False
+    wire = None
+    if drive is None:
+        deadline = clock.now_us + s_to_us(duration_s)
+        while clock.now_us < deadline and server.running:
+            server.tick()
+            fleet.step()
+            system.maybe_sample()
+            if server.crashed:
+                break
+        server.running = False
+        # Bots streamed every probe through the tap as it completed; the
+        # raw per-bot lists exist only when the server retained them.
+        response_times = fleet.response_times_ms()
+    else:
+        response_times, wire = drive.run(
+            server,
+            server_name,
+            iteration=iteration,
+            duration_s=duration_s,
+            on_tick=system.maybe_sample,
+        )
 
     stats = server.net.stats
     n_share, b_share = stats.entity_share()
-    # Bots streamed every probe through the tap as it completed; the raw
-    # per-bot lists exist only when the server retained them.
-    response_times = swarm.response_times_ms()
     telemetry = {
         "tick": server.telemetry.snapshot(include_tails=True),
         "system": system.snapshot(),
@@ -153,6 +168,8 @@ def run_iteration(
             include_tail=False
         ),
     }
+    if wire is not None:
+        telemetry["wire"] = wire
     if server.lifecycle is not None:
         telemetry["world"] = {
             "initial_hash": initial_world_hash,
@@ -188,10 +205,25 @@ def run_iteration(
     )
 
 
+def require_drive(config: MeterstickConfig, drive) -> None:
+    """Refuse a ``transport: tcp`` config without the wire drive.
+
+    In-process bots would measure such a cell while its fingerprint
+    says it was served over sockets.
+    """
+    if config.transport == "tcp" and drive is None:
+        raise ValueError(
+            "this cell has transport: tcp, so its players must arrive "
+            "over sockets: serve it with 'repro serve <spec> --cell N' "
+            "(and 'repro clients'), not in-process"
+        )
+
+
 def run_server_chain(
     config: MeterstickConfig,
     server_name: str,
     on_iteration: IterationFn | None = None,
+    drive=None,
 ) -> list[IterationResult]:
     """Run every iteration of one server on one persistent machine.
 
@@ -203,7 +235,10 @@ def run_server_chain(
     ``on_iteration`` is called with each :class:`IterationResult` as soon
     as it finishes — the hook the campaign executor uses to stream
     per-iteration telemetry to disk while the chain is still running.
+    ``drive`` is handed to every :func:`run_iteration`; a ``tcp`` config
+    requires one.
     """
+    require_drive(config, drive)
     env = get_environment(config.environment)
     machine = env.create_machine(seed=config.iteration_seed(server_name, -1))
     if config.warm_machines:
@@ -264,12 +299,7 @@ def run_server_chain(
             trace=config.trace,
             trace_sample_every=config.trace_sample_every,
             slow_tick_factor=config.slow_tick_factor,
-            transport=config.transport,
-            wire_port=config.wire_port,
-            wire_batch_flush=config.wire_batch_flush,
-            obs=config.obs,
-            obs_port=config.obs_port,
-            obs_scrape_grace=config.obs_scrape_grace,
+            drive=drive,
         )
         iteration_result.throttled_ticks = (
             machine.throttled_executions - throttled_before

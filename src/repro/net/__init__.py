@@ -9,8 +9,9 @@ Meterstick technical report calls out as part of benchmark variability.
 
 - :mod:`repro.net.server` — ``WireServer``: accept loop, per-client
   reader/writer plumbing feeding ``NetworkQueues``, per-tick flushes.
-- :mod:`repro.net.serve` — ``repro serve``: run one campaign cell behind
-  a TCP front end, writing standard manifest/sidecar/shard artifacts.
+- :mod:`repro.net.serve` — ``repro serve``: run one planned campaign job
+  through the executor's chain with the tcp drive (``WireDrive``) in
+  place of the in-process swarm, writing the standard artifacts.
 - :mod:`repro.net.client` — ``repro clients``: ramp N emulated players
   over real sockets, streaming response telemetry back to the server.
 """

@@ -264,21 +264,6 @@ class TestIterationDeterminism:
         assert first == second
         assert first["telemetry"]["tick"]["ticks"] > 0
 
-    def test_inproc_transport_knob_does_not_change_results(self):
-        kwargs = dict(
-            workload_name="players",
-            server_name="vanilla",
-            environment_name="das5",
-            duration_s=2.0,
-            seed=23,
-            n_bots=2,
-        )
-        default = run_iteration(**kwargs).to_dict()
-        explicit = run_iteration(
-            **kwargs, transport="inproc", wire_port=0, wire_batch_flush=True
-        ).to_dict()
-        assert default == explicit
-
 
 class TestEndpointEncapsulation:
     def test_deliveries_are_private_with_drain_accessor(self):
