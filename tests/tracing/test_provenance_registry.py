@@ -78,16 +78,47 @@ MEASUREMENT_CONFIG_PINS = {
 }
 
 
+#: sha256 of the same configs in shard form: ``json.dumps(..., indent=2)``
+#: without ``sort_keys``, as every shard embeds ``provenance.config``.
+#: The sorted pins above cannot see a field reordering; these can.
+SHARD_FORM_PINS = {
+    "campaign_report.yaml": {
+        "40ce45d9": "e03f2597752d1a84011905a08e872712"
+        "1cff0dc00734c26c04a1b6ef0b053f82",
+        "075349c6": "09ac66db0c75175304a7b3887d97632f"
+        "a7f3e5e7430a006459fb35f30063764e",
+        "37dd5beb": "4354377bb6e353eccdd860cb32c4585c"
+        "f3162821dab72a775ef6a0340867cd31",
+        "704057f4": "918d12f30f88cbc2be06f31f636b0de0"
+        "dede6b9280ac34d304bd6a3a2fe8cef9",
+    },
+    "campaign_wire.yaml": {
+        "20f32579": "a6a297af0b05d852b7bc587e45dc5749"
+        "ead045d62745bd61d4623cb79c63f489",
+    },
+}
+
+
+def _digest(config: dict, **dumps_kwargs) -> str:
+    return hashlib.sha256(
+        json.dumps(config, **dumps_kwargs).encode()
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("example", sorted(MEASUREMENT_CONFIG_PINS))
 def test_example_measurement_configs_are_pinned(example):
     planner = JobPlanner(CampaignSpec.from_file(EXAMPLES / example))
-    digests = {
-        job.job_id: hashlib.sha256(
-            json.dumps(
-                measurement_config(planner.job_config(job).to_dict()),
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()
+    configs = {
+        job.job_id: measurement_config(planner.job_config(job).to_dict())
         for job in planner.plan()
     }
-    assert digests == MEASUREMENT_CONFIG_PINS[example]
+    sorted_digests = {
+        job_id: _digest(config, sort_keys=True)
+        for job_id, config in configs.items()
+    }
+    shard_digests = {
+        job_id: _digest(config, indent=2)
+        for job_id, config in configs.items()
+    }
+    assert sorted_digests == MEASUREMENT_CONFIG_PINS[example]
+    assert shard_digests == SHARD_FORM_PINS[example]
