@@ -24,7 +24,8 @@ def add_lint_parser(sub) -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the static invariant checkers (determinism, op "
-        "accounting, knob threading, provenance hygiene)",
+        "accounting, metric registration, rng discipline, transport "
+        "layering)",
     )
     lint.add_argument(
         "paths",

@@ -6,7 +6,7 @@ serving a live endpoint that is actively scraped mid-run.  The scraped
 run's *measurements* — tick series, response times, telemetry, seeds —
 must match the unobserved ones exactly; only the recorded obs knobs and
 the provenance fingerprint may differ (the obs knobs are deliberately
-fingerprinted: see ``_MEASUREMENT_FIELDS`` in tracing/provenance.py).
+fingerprinted: see their entries in ``repro/knobs.py``).
 """
 
 import json

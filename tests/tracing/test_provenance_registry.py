@@ -1,7 +1,7 @@
-"""Runtime twin of lint rule MSL004: the provenance field registries
-partition the real config/spec surface — every field has exactly one
-fate, nothing stale, and ``measurement_config`` strips exactly the
-excluded set."""
+"""The provenance partition is the knob table's ``fingerprinted``
+column: every config/spec field has exactly one fate, nothing else is
+stripped, and ``measurement_config`` strips exactly the unfingerprinted
+knobs."""
 
 import dataclasses
 import hashlib
@@ -13,10 +13,10 @@ import pytest
 from repro.campaign.planner import JobPlanner
 from repro.campaign.spec import CampaignSpec
 from repro.core.config import MeterstickConfig
+from repro.knobs import KNOBS, UNFINGERPRINTED
 from repro.tracing.provenance import (
-    _MEASUREMENT_FIELDS,
-    _NON_MEASUREMENT_FIELDS,
     measurement_config,
+    provenance_fingerprint,
 )
 
 
@@ -28,30 +28,45 @@ def config_surface() -> set[str]:
 
 class TestProvenanceRegistry:
     def test_registries_partition_the_config_surface(self):
-        fingerprinted = set(_MEASUREMENT_FIELDS)
-        excluded = set(_NON_MEASUREMENT_FIELDS)
+        fingerprinted = {k.name for k in KNOBS if k.fingerprinted}
+        excluded = {k.name for k in KNOBS if not k.fingerprinted}
         assert fingerprinted & excluded == set()
-        surface = config_surface()
-        undecided = surface - fingerprinted - excluded
-        assert undecided == set(), (
-            f"config fields without a provenance decision: "
-            f"{sorted(undecided)}"
-        )
-        stale = (fingerprinted | excluded) - surface
-        assert stale == set(), (
-            f"stale provenance registry entries: {sorted(stale)}"
-        )
+        assert fingerprinted | excluded == config_surface()
+        assert excluded == UNFINGERPRINTED
 
     def test_no_duplicate_registry_entries(self):
-        assert len(set(_MEASUREMENT_FIELDS)) == len(_MEASUREMENT_FIELDS)
-        assert len(set(_NON_MEASUREMENT_FIELDS)) == len(
-            _NON_MEASUREMENT_FIELDS
-        )
+        names = [knob.name for knob in KNOBS]
+        assert len(set(names)) == len(names)
 
     def test_measurement_config_strips_exactly_the_exclusions(self):
         resolved = {name: name for name in config_surface()}
         stripped = measurement_config(resolved)
-        assert set(stripped) == set(resolved) - set(_NON_MEASUREMENT_FIELDS)
+        assert set(stripped) == {k.name for k in KNOBS if k.fingerprinted}
+
+    def test_exclusion_set_is_pinned(self):
+        # Storage locations, the worker count and the report layout: a
+        # knob joining or leaving this set changes every fingerprint.
+        assert UNFINGERPRINTED == {
+            "output_dir",
+            "world_dir",
+            "world_cache_dir",
+            "jobs",
+            "resume",
+            "output",
+        }
+
+    def test_fingerprint_follows_the_table(self):
+        def fingerprint(config: dict) -> str:
+            return provenance_fingerprint(measurement_config(config))[
+                "fingerprint"
+            ]
+
+        base = MeterstickConfig().to_dict()
+        for knob in KNOBS:
+            if knob.in_scope("config"):
+                changed = {**base, knob.name: "changed"}
+                moved = fingerprint(changed) != fingerprint(base)
+                assert moved == knob.fingerprinted, knob.name
 
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
